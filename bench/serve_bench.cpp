@@ -16,8 +16,10 @@
 // each distinct snippet once and fans the verdict out (the dominant term on
 // a single core, where per-row transformer FLOPs cannot be amortized),
 // (b) exact-length bucketing: no padding FLOPs even for mixed-length
-// batches, and (c) on multi-core hosts, one batched forward parallelizes
-// across rows where 32 stateful single-row forwards cannot. B=1 cannot
+// batches, and (c) on multi-core hosts, BM_BatchedInference's one forward
+// parallelizes across rows where 32 single-row forwards cannot. Server
+// workers run one OpenMP thread each (ServeConfig::workers), so
+// BM_ServerClosedLoop gets (a) and (b) but not (c). B=1 cannot
 // coalesce or bucket (every batch is one request), which is exactly the
 // single-request serving baseline.
 //

@@ -14,11 +14,11 @@
 // series plus derived `scaling` and `cache_win` blocks; check_scaling.sh
 // gates on it via clpp-slo's `scaling` budget block.
 //
-// OMP_NUM_THREADS is forced to 1: the bench measures scale-out across
-// shard *processes*, so per-shard inference must not silently fan out over
-// the same cores the other shards need. Scaling is therefore judged
-// against min(shards, ncores) — a 2-core runner is expected to scale to 2
-// shards and flatline beyond, not to 8.
+// The bench measures scale-out across shard *processes*. Serve workers run
+// their forward passes on one OpenMP thread (ServeConfig::workers), so a
+// shard never fans out over the cores the other shards need. Scaling is
+// therefore judged against min(shards, ncores) — a 2-core runner is
+// expected to scale to 2 shards and flatline beyond, not to 8.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -401,11 +401,6 @@ Json point_json(const PointResult& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Scale-out across shard processes is the measurement; per-shard OpenMP
-  // fan-out would let a single shard consume every core and flatten the
-  // curve for reasons that have nothing to do with the serving stack.
-  ::setenv("OMP_NUM_THREADS", "1", 1);
-
   ArgParser parser("shard_scaling_bench",
                    "closed-loop scaling + cache-effectiveness bench over the "
                    "sharded serving front end (clpp.shard_scaling.v1)");

@@ -16,9 +16,9 @@
 #      only ever change latency, never an answer. The bench itself exits
 #      nonzero on either violation; clpp-slo re-checks both.
 #
-# OMP_NUM_THREADS is pinned to 1 so per-shard OpenMP inference does not
-# compete with the shard processes for cores: shards are the scale-out
-# axis under test.
+# Serve workers run on one OpenMP thread each (ServeConfig::workers), so
+# the gate measures the shipped default: shard processes are the only
+# scale-out axis under test, and OMP_NUM_THREADS does not change that.
 #
 #   $ scripts/check_scaling.sh
 #   $ WARN_ONLY=1 scripts/check_scaling.sh   # report violations but exit 0
@@ -41,7 +41,6 @@ CONCURRENCY="${CONCURRENCY:-8}"
 DUP_RATE="${DUP_RATE:-0.8}"
 BUDGET="${BUDGET:-slo/budgets.json}"
 WARN_ONLY="${WARN_ONLY:-}"
-export OMP_NUM_THREADS=1
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j --target shard_scaling_bench clpp-slo >/dev/null

@@ -85,7 +85,7 @@ test -s "$OUT_DIR/shard_stats.json" || {
 # (two points, a handful of requests) exercises the full artifact shape:
 # per-point series, the scaling and cache_win summary blocks, and the
 # verdict-identity verdict.
-OMP_NUM_THREADS=1 "$BUILD_DIR/bench/shard_scaling_bench" \
+"$BUILD_DIR/bench/shard_scaling_bench" \
   --points "1 2" --requests 24 --dup-requests 32 --concurrency 4 \
   --out "$OUT_DIR/shard_scaling.json" >/dev/null
 

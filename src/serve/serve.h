@@ -71,6 +71,12 @@ struct ServeConfig {
   /// Worker threads, each owning a private advisor replica. 0 is accepted
   /// (requests queue up but are never served — useful for deterministic
   /// backpressure tests) — shutdown then fails the queued futures.
+  ///
+  /// Thread policy: each worker runs its forward passes on one OpenMP
+  /// thread, whatever `OMP_NUM_THREADS` or the caller's
+  /// `omp_set_num_threads` say. Serving parallelism comes from `workers`
+  /// (and from shard processes), never from fanning one batch across
+  /// threads. Direct `advise`/`advise_batch` callers keep their threading.
   std::size_t workers = 1;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Forwarded to `ParallelAdvisor::advise_batch` for every served batch.

@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "resil/fault.h"
 #include "support/json.h"
+#include "support/parallel.h"
 
 namespace clpp::serve {
 
@@ -139,6 +140,7 @@ std::future<ServedAdvice> InferenceServer::submit(std::string code,
 
 void InferenceServer::worker_loop(core::ParallelAdvisor& advisor) {
   obs::Tracer::instance().set_thread_name("serve worker");
+  use_one_omp_thread();  // thread policy: see ServeConfig::workers
   for (;;) {
     std::vector<PendingRequest> batch =
         queue_.pop_batch(config_.max_batch, config_.max_delay_us);

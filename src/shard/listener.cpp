@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -34,6 +35,18 @@ std::string peer_name(const struct sockaddr_in& addr) {
   ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
   return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
 }
+
+// While no request is in flight, a loop turn polls without blocking for
+// this long before it sleeps in poll(). A closed-loop client's next
+// request, or a cache hit's whole round trip, usually falls inside it, so
+// the loop's CPU stays awake between requests. On a VM an idle vCPU halts
+// and takes as long to wake as the host makes it: without the spin, the
+// cache-hit latency of a closed-loop client on a 4-vCPU VM moved by a
+// third between runs, with whether the scheduler had put the client on the
+// loop's vCPU (EXPERIMENTS.md "Steady cache hits"). With a request at a
+// shard the reply is milliseconds off, so the loop sleeps at once. An idle
+// loop turns every 200 ms, so the spin costs it 0.1% of a core.
+constexpr auto kBusyPoll = std::chrono::microseconds(200);
 
 }  // namespace
 
@@ -110,7 +123,14 @@ std::size_t SocketListener::poll_once(int timeout_ms) {
   if (restart_ms >= 0 && (wait_ms < 0 || restart_ms < wait_ms))
     wait_ms = restart_ms;
 
-  const int rc = ::poll(fds.data(), fds.size(), wait_ms);
+  int rc = 0;
+  if (wait_ms != 0 && supervisor_.inflight() == 0) {
+    const auto until = std::chrono::steady_clock::now() + kBusyPoll;
+    while ((rc = ::poll(fds.data(), fds.size(), 0)) == 0 &&
+           std::chrono::steady_clock::now() < until) {
+    }
+  }
+  if (rc == 0) rc = ::poll(fds.data(), fds.size(), wait_ms);
   if (rc > 0) {
     if (fds[0].revents & POLLIN) accept_ready();
     // Collect ready connection ids first: read_ready can close a

@@ -73,8 +73,9 @@ class SocketListener {
   void run();
 
   /// One loop turn with the given poll timeout; returns the number of
-  /// response frames written to clients. Test hook — run() is this in a
-  /// loop.
+  /// response frames written to clients. With no request in flight the
+  /// turn first polls without blocking for up to 200 µs (listener.cpp
+  /// says why). Test hook — run() is this in a loop.
   std::size_t poll_once(int timeout_ms);
 
   /// Stop flag, checked once per loop turn. Atomic (and lock-free on every

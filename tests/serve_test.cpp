@@ -21,6 +21,7 @@
 
 #include "core/advisor.h"
 #include "obs/flight.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "resil/fault.h"
@@ -29,6 +30,10 @@
 #include "support/json.h"
 #include "tokenize/representation.h"
 #include "tokenize/vocabulary.h"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace clpp::serve {
 namespace {
@@ -216,6 +221,53 @@ TEST(ServerTest, ConcurrentSubmissionsMatchSequentialVerdicts) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.batch_rows, kClients * kPerClient);
+}
+
+TEST(ServerTest, WorkersRunOneOmpThreadWhateverTheCallerSet) {
+#if !defined(_OPENMP)
+  GTEST_SKIP() << "built without OpenMP: every loop is serial anyway";
+#else
+  const auto advisor = tiny_advisor();
+  const int caller_threads = omp_get_max_threads();
+  omp_set_num_threads(4);
+  obs::set_enabled(true);
+  obs::Counter& parallel_loops =
+      obs::metrics().counter("clpp.parallel.loops_parallel");
+  obs::Counter& serial_loops =
+      obs::metrics().counter("clpp.parallel.loops_serial");
+
+  // Reference verdicts on the caller's 4-thread path, which does fan out.
+  const std::uint64_t parallel_before_reference = parallel_loops.value();
+  std::vector<Advice> reference;
+  for (const std::string& code : snippets())
+    reference.push_back(advisor->advise(code));
+  EXPECT_GT(parallel_loops.value(), parallel_before_reference)
+      << "snippets too short to cross the GEMM grain: the test proves nothing";
+
+  const std::uint64_t parallel_before = parallel_loops.value();
+  const std::uint64_t serial_before = serial_loops.value();
+  std::vector<ServedAdvice> served;
+  {
+    ServeConfig config;
+    config.workers = 2;
+    InferenceServer server(*advisor, config);
+    std::vector<std::future<ServedAdvice>> futures;
+    for (const std::string& code : snippets())
+      futures.push_back(server.submit(code));
+    for (auto& future : futures) served.push_back(future.get());
+    server.shutdown();
+  }
+  const std::uint64_t parallel_after = parallel_loops.value();
+  const std::uint64_t serial_after = serial_loops.value();
+  obs::set_enabled(false);
+  omp_set_num_threads(caller_threads);
+
+  EXPECT_EQ(parallel_after, parallel_before);
+  EXPECT_GT(serial_after, serial_before);
+  ASSERT_EQ(served.size(), snippets().size());
+  for (std::size_t i = 0; i < served.size(); ++i)
+    expect_same_advice(served[i].advice, reference[i], snippets()[i]);
+#endif
 }
 
 TEST(ServerTest, MaxDelayFlushesPartialBatch) {
